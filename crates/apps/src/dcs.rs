@@ -22,6 +22,22 @@
 //! change polling is available through `changes_since(zxid)`, backed by a
 //! bounded, totally ordered changelog.
 //!
+//! The changelog is slotted: the entry `(zxid, op, path)` of update `zxid`
+//! lives in its own store cell, `DCS$changelog/{zxid % 1000}`, written
+//! with one `put` inside the update's class-locked critical section. The
+//! sequencer hands out gap-free zxids under that same lock, so the live
+//! slots always hold exactly the last 1000 updates, and each new update
+//! overwrites the oldest one. An update therefore costs one small write
+//! however full the log is.
+//!
+//! `changes_since` takes no lock, so writers may overwrite slots while it
+//! scans them. It first reads the zxid high-water mark `head`, keeps only
+//! entries in `(head - 1000, head]` after its argument, sorts them by zxid
+//! and returns the unbroken run that ends at the newest one. Every reply is
+//! thus a gap-free run of the total order; when its first zxid is not the
+//! caller's cursor plus one, the entries in between have been evicted and
+//! the caller should resync.
+//!
 //! Sessions and ephemeral nodes (the Chubby/ZooKeeper feature the paper's
 //! DCS alludes to) are supported as an extension: `create_session(ttl_secs)`
 //! returns a session id kept alive by `heartbeat`; `create_ephemeral` ties a
@@ -45,6 +61,10 @@ pub struct ZNode {
     /// zxid of the most recent update to the node.
     pub modified_zxid: u64,
 }
+
+/// One changelog entry: the update's zxid, its operation (`create`, `set`
+/// or `delete`) and the path it touched.
+type Change = (u64, String, String);
 
 /// The elastic coordination service.
 #[derive(Debug, Default)]
@@ -107,18 +127,56 @@ impl Dcs {
         }
     }
 
-    /// Appends to the bounded shared changelog (the data source for
-    /// ZooKeeper-style watch polling).
+    /// Number of changelog slots: the log keeps the last this many updates.
+    const CHANGELOG_SLOTS: u64 = 1_000;
+
+    /// Store-key prefix of the changelog slots, `DCS$changelog/`.
+    fn changelog_prefix() -> String {
+        elasticrmi::field_key(Self::CLASS, "changelog/")
+    }
+
+    /// Records update `zxid` in its changelog slot (the data source for
+    /// ZooKeeper-style watch polling), overwriting the entry 1000 updates
+    /// older. Callers hold the class lock that stamped `zxid`.
     fn log_change(ctx: &ServiceContext, zxid: u64, op: &str, path: &str) {
-        const CAP: usize = 1_000;
-        ctx.shared::<Vec<(u64, String, String)>>("changelog")
-            .update(Vec::new, |log| {
-                log.push((zxid, op.to_string(), path.to_string()));
-                if log.len() > CAP {
-                    let excess = log.len() - CAP;
-                    log.drain(..excess);
-                }
-            });
+        let key = format!(
+            "{}{}",
+            Self::changelog_prefix(),
+            zxid % Self::CHANGELOG_SLOTS
+        );
+        let entry = erm_transport::to_bytes(&(zxid, op, path)).expect("log entry encodes");
+        ctx.store().put(&key, entry);
+    }
+
+    /// The logged updates after `since`, in zxid order, as one unbroken
+    /// run of zxids.
+    ///
+    /// The scan holds no lock. Reading `head` first bounds it to updates
+    /// already stamped, and an entry whose slot a writer overwrote during
+    /// the scan is missing from what was read. Only the run of consecutive
+    /// zxids ending at the newest entry read is returned, so such a hole
+    /// cuts the reply short instead of skipping an update.
+    fn changes_since(ctx: &ServiceContext, since: u64) -> Result<Vec<Change>, RemoteError> {
+        let head = ctx.shared::<u64>("zxid").get().unwrap_or(0);
+        let after = since.max(head.saturating_sub(Self::CHANGELOG_SLOTS));
+        let mut changes = Vec::new();
+        for key in ctx.store().keys_with_prefix(&Self::changelog_prefix()) {
+            let Some(cell) = ctx.store().get(&key) else {
+                continue;
+            };
+            let change: Change = erm_transport::from_bytes(&cell.value)
+                .map_err(|e| RemoteError::new("CorruptChangelog", e.to_string()))?;
+            if (after + 1..=head).contains(&change.0) {
+                changes.push(change);
+            }
+        }
+        changes.sort_unstable_by_key(|change| change.0);
+        let run_start = changes
+            .windows(2)
+            .rposition(|pair| pair[1].0 != pair[0].0 + 1)
+            .map_or(0, |hole| hole + 1);
+        changes.drain(..run_start);
+        Ok(changes)
     }
 
     fn next_zxid(ctx: &ServiceContext) -> u64 {
@@ -367,13 +425,7 @@ impl ElasticService for Dcs {
                 // Returns (zxid, op, path) triples; the log is bounded, so a
                 // far-behind client may miss entries (it should resync).
                 let since: u64 = decode_args(method, args)?;
-                let log = ctx
-                    .shared::<Vec<(u64, String, String)>>("changelog")
-                    .get()
-                    .unwrap_or_default();
-                let changes: Vec<(u64, String, String)> =
-                    log.into_iter().filter(|(z, _, _)| *z > since).collect();
-                encode_result(&changes)
+                encode_result(&Self::changes_since(ctx, since)?)
             }
             "sync" => {
                 let zxid = ctx.shared::<u64>("zxid").get().unwrap_or(0);
@@ -811,5 +863,176 @@ mod watch_tests {
         let session = erm_transport::to_bytes(&30u64).unwrap();
         assert_eq!(table.routing_key_for("create_session", &session), None);
         assert_eq!(table.routing_key_for("sync", &[]), None);
+    }
+}
+
+#[cfg(test)]
+mod changelog_tests {
+    use super::*;
+    use erm_kvstore::{Store, StoreConfig};
+    use erm_sim::VirtualClock;
+    use std::sync::atomic::AtomicU32;
+    use std::sync::Arc;
+
+    fn member(store: &Arc<Store>, uid: u64) -> (Dcs, ServiceContext) {
+        (
+            Dcs::new(),
+            ServiceContext::new(
+                Arc::clone(store),
+                Dcs::CLASS,
+                uid,
+                Arc::new(VirtualClock::new()),
+                Arc::new(AtomicU32::new(2)),
+            ),
+        )
+    }
+
+    fn call<A: serde::Serialize, R: serde::de::DeserializeOwned>(
+        svc: &mut Dcs,
+        ctx: &mut ServiceContext,
+        method: &str,
+        args: &A,
+    ) -> R {
+        let bytes = svc
+            .dispatch(method, &erm_transport::to_bytes(args).unwrap(), ctx)
+            .unwrap();
+        erm_transport::from_bytes(&bytes).unwrap()
+    }
+
+    #[test]
+    fn wrap_around_keeps_exactly_the_last_thousand_in_order() {
+        let store = Arc::new(Store::new(StoreConfig::default()));
+        let (mut svc, mut ctx) = member(&store, 0);
+        // Update zxid z: odd z creates /w{z/2}, even z sets it.
+        let expected = |zxid: u64| {
+            let op = if zxid.is_multiple_of(2) {
+                "set"
+            } else {
+                "create"
+            };
+            (zxid, op.to_string(), format!("/w{}", (zxid - 1) / 2))
+        };
+        for zxid in 1..=2_500u64 {
+            let (_, method, path) = expected(zxid);
+            let stamped: u64 = call(&mut svc, &mut ctx, &method, &(path, vec![zxid as u8]));
+            assert_eq!(stamped, zxid);
+        }
+        let all: Vec<Change> = call(&mut svc, &mut ctx, "changes_since", &0u64);
+        let want: Vec<Change> = (1_501..=2_500).map(expected).collect();
+        assert_eq!(all, want, "the last 1000 updates, oldest first");
+        let tail: Vec<Change> = call(&mut svc, &mut ctx, "changes_since", &2_400u64);
+        assert_eq!(tail, (2_401..=2_500).map(expected).collect::<Vec<_>>());
+        let none: Vec<Change> = call(&mut svc, &mut ctx, "changes_since", &2_500u64);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn two_members_see_the_same_total_order() {
+        let store = Arc::new(Store::new(StoreConfig::default()));
+        let (mut svc_a, mut ctx_a) = member(&store, 1);
+        let (mut svc_b, mut ctx_b) = member(&store, 2);
+        let mut zxids = Vec::new();
+        for i in 0..30u32 {
+            let (svc, ctx) = if i.is_multiple_of(3) {
+                (&mut svc_b, &mut ctx_b)
+            } else {
+                (&mut svc_a, &mut ctx_a)
+            };
+            let path = format!("/m{}", i / 2);
+            let method = if i.is_multiple_of(2) { "create" } else { "set" };
+            let zxid: u64 = call(svc, ctx, method, &(path, Vec::<u8>::new()));
+            zxids.push(zxid);
+        }
+        let from_a: Vec<Change> = call(&mut svc_a, &mut ctx_a, "changes_since", &0u64);
+        let from_b: Vec<Change> = call(&mut svc_b, &mut ctx_b, "changes_since", &0u64);
+        assert_eq!(from_a, from_b, "one log, one order, whoever reads it");
+        let logged: Vec<u64> = from_a.iter().map(|c| c.0).collect();
+        assert_eq!(logged, zxids, "every update logged, in zxid order");
+        assert_eq!(logged, (1..=30).collect::<Vec<u64>>());
+        let since: Vec<Change> = call(&mut svc_b, &mut ctx_b, "changes_since", &zxids[9]);
+        assert_eq!(since, from_a[10..]);
+    }
+
+    #[test]
+    fn polling_a_wrapped_log_under_concurrent_writes_never_skips_an_update() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const WRITES: u64 = 20_000;
+        let store = Arc::new(Store::new(StoreConfig::default()));
+        let (mut svc, mut ctx) = member(&store, 1);
+        let _: u64 = call(&mut svc, &mut ctx, "create", &("/hot", Vec::<u8>::new()));
+        for _ in 0..1_500 {
+            let _: u64 = call(&mut svc, &mut ctx, "set", &("/hot", vec![1u8]));
+        }
+        let done = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                for _ in 0..WRITES {
+                    let _: u64 = call(&mut svc, &mut ctx, "set", &("/hot", vec![2u8]));
+                }
+                done.store(true, Ordering::SeqCst);
+            })
+        };
+        let (mut poller, mut poll_ctx) = member(&store, 2);
+        let mut cursor = 1_000u64;
+        loop {
+            let finished = done.load(Ordering::SeqCst);
+            let reply: Vec<Change> = call(&mut poller, &mut poll_ctx, "changes_since", &cursor);
+            let head = poll_ctx.shared::<u64>("zxid").get().unwrap();
+            if let Some(first) = reply.first() {
+                // A reply may start past the cursor only when the next
+                // update has left the 1000-slot window by now.
+                assert!(
+                    first.0 == cursor + 1 || head >= cursor + 1 + 1_000,
+                    "cursor {cursor}: reply starts at {} with head {head}",
+                    first.0
+                );
+            }
+            for change in &reply {
+                assert_eq!(change.1, "set");
+                assert_eq!(change.2, "/hot");
+            }
+            // A reader 1000 behind races the writer for the oldest slots.
+            let whole: Vec<Change> = call(&mut poller, &mut poll_ctx, "changes_since", &0u64);
+            for pair in reply.windows(2).chain(whole.windows(2)) {
+                assert_eq!(pair[1].0, pair[0].0 + 1, "a reply skipped an update");
+            }
+            if let Some(last) = reply.last() {
+                cursor = last.0;
+            }
+            if finished {
+                break;
+            }
+        }
+        writer.join().unwrap();
+        assert_eq!(cursor, 1_501 + WRITES, "the final poll reaches the head");
+    }
+
+    #[test]
+    fn no_store_value_outgrows_a_node_or_a_log_entry() {
+        let store = Arc::new(Store::new(StoreConfig::default()));
+        let (mut svc, mut ctx) = member(&store, 0);
+        for i in 0..1_100 {
+            let _: u64 = call(
+                &mut svc,
+                &mut ctx,
+                "create",
+                &(format!("/n{i}"), Vec::<u8>::new()),
+            );
+        }
+        let node = erm_transport::to_bytes(&ZNode {
+            data: Vec::new(),
+            created_zxid: 0,
+            modified_zxid: 0,
+        })
+        .unwrap();
+        let entry = erm_transport::to_bytes(&(0u64, "create", "/n1099")).unwrap();
+        let bound = node.len().max(entry.len());
+        for key in store.keys_with_prefix("") {
+            let len = store.get(&key).unwrap().value.len();
+            assert!(len <= bound, "{key} holds {len} bytes, over {bound}");
+        }
+        let slots = store.keys_with_prefix(&Dcs::changelog_prefix());
+        assert_eq!(slots.len(), 1_000, "one cell per retained entry");
     }
 }

@@ -414,4 +414,52 @@ mod tests {
         assert!(RmiMessage::decode(&[0xff, 0xff, 0xff, 0xff, 1]).is_err());
         assert!(RmiMessage::decode(&[]).is_err());
     }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Golden encodings of the invocation plane, recorded from the
+    /// element-by-element codec: the byte fast path must not change them.
+    #[test]
+    fn invocation_plane_wire_bytes_are_golden() {
+        let request = RmiMessage::Request {
+            call: 7,
+            context: InvocationContext {
+                semantics: Semantics::AtMostOnce,
+                routing_key: Some(0xABCD),
+                ..ctx()
+            },
+            method: "set".into(),
+            args: erm_transport::to_bytes(&("/a", vec![1u8, 2, 3])).unwrap(),
+        };
+        let reply = RmiMessage::Response {
+            call: 7,
+            outcome: Ok(vec![0xDE, 0xAD, 0xBE, 0xEF]),
+            replayed: true,
+        };
+        let error = RmiMessage::Response {
+            call: 8,
+            outcome: Err(RemoteError::new("NoNode", "/x")),
+            replayed: false,
+        };
+        let golden = [
+            (
+                request,
+                "000000000700000000000000280000000000000060e3160000000000\
+                 020000000b000000000000000000000001cdab000000000000030000\
+                 007365740d000000020000002f6103000000010203",
+            ),
+            (reply, "0100000007000000000000000000000004000000deadbeef01"),
+            (
+                error,
+                "01000000080000000000000001000000060000004e6f4e6f6465020000002f7800",
+            ),
+        ];
+        for (msg, bytes) in golden {
+            let encoded = msg.encode();
+            assert_eq!(hex(&encoded), bytes, "{msg:?}");
+            assert_eq!(RmiMessage::decode(&encoded).unwrap(), msg);
+        }
+    }
 }

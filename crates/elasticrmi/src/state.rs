@@ -79,6 +79,12 @@ impl<T: Serialize + DeserializeOwned> SharedField<T> {
     /// Atomic read-modify-write via compare-and-put retry. `init` supplies
     /// the value when the field is absent; `f`'s return value is passed
     /// through. Lock-free: concurrent updates retry rather than block.
+    ///
+    /// Every call decodes and re-encodes the *whole* value, under whatever
+    /// lock the caller holds, so its cost grows with the value, not with the
+    /// change. Append-only data (logs, histories, indexes) belongs in one
+    /// cell per entry, written with a single `put`; a growing collection
+    /// behind one field makes each append cost as much as the collection.
     pub fn update<R>(&self, init: impl Fn() -> T, mut f: impl FnMut(&mut T) -> R) -> R {
         loop {
             let current = self.store.get(&self.key);

@@ -467,15 +467,20 @@ impl TcpHost {
 
     /// Queues a frame on the peer's link (created on first use) and nudges
     /// the event loop.
+    ///
+    /// The frame's bytes are reserved in `queued_bytes` *before* the frame
+    /// is published: the event loop subtracts a frame's bytes only after
+    /// popping it, so the counter never drops below what the queue holds
+    /// and never underflows.
     fn enqueue(&self, addr: SocketAddr, frame: Vec<u8>) {
         let link = {
             let mut links = self.inner.links.lock();
             Arc::clone(links.entry(addr).or_default())
         };
         let len = frame.len() as u64;
-        link.queue.lock().push_back(frame);
         let total = link.queued_bytes.fetch_add(len, Ordering::SeqCst) + len;
         self.inner.gauge_queued(len as i64);
+        link.queue.lock().push_back(frame);
         if total as usize >= LINK_HIGH_WATER_BYTES
             && !link.backpressured.swap(true, Ordering::SeqCst)
         {
@@ -934,13 +939,18 @@ impl EventLoop {
 /// fail over instead of waiting out reply timeouts.
 fn give_up(link: &mut OutLink, inner: &HostInner) {
     let unsent_scratch = (link.scratch_frames.len() - link.scratch_sent) as u64;
-    let queued = {
+    let (queued, cleared_bytes) = {
         let mut queue = link.shared.queue.lock();
+        let bytes: usize = queue.iter().map(Vec::len).sum();
         let n = queue.len() as u64;
         queue.clear();
-        n
+        (n, bytes as u64)
     };
-    let cleared_bytes = link.shared.queued_bytes.swap(0, Ordering::SeqCst);
+    // Subtract only what was cleared: a sender may have reserved bytes for
+    // a frame it has not pushed yet, and that reservation must survive.
+    link.shared
+        .queued_bytes
+        .fetch_sub(cleared_bytes, Ordering::SeqCst);
     inner.gauge_queued(-(cleared_bytes as i64));
     link.scratch.clear();
     link.scratch_frames.clear();
@@ -1187,6 +1197,45 @@ mod tests {
         eventually("every frame counted sent", || {
             host.stats().frames_sent == frames as u64
         });
+    }
+
+    /// Debug builds check the subtraction in `flush`: if a sender published
+    /// a frame before reserving its bytes, the event loop could pop and
+    /// subtract first, underflow `queued_bytes` and panic. Several senders
+    /// race the loop; every frame must arrive and the counter must end at 0.
+    #[test]
+    fn racing_senders_keep_queued_bytes_accounted() {
+        const SENDERS: usize = 4;
+        const FRAMES: usize = 20_000;
+        let (host_a, host_b) = pair();
+        let host_a = Arc::new(host_a);
+        let (b, mail_b) = host_b.open_endpoint();
+        host_a.register_peer(b, host_b.local_addr());
+        let start = Arc::new(std::sync::Barrier::new(SENDERS));
+        let senders: Vec<_> = (0..SENDERS)
+            .map(|_| {
+                let host = Arc::clone(&host_a);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    let (a, _mail) = host.open_endpoint();
+                    start.wait();
+                    for i in 0..FRAMES {
+                        host.send(a, b, vec![0; 1 + i % 64]).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for sender in senders {
+            sender.join().expect("sender thread");
+        }
+        for _ in 0..SENDERS * FRAMES {
+            recv_ready(&mail_b, "every raced frame delivered");
+        }
+        let link = Arc::clone(&host_a.inner.links.lock()[&host_b.local_addr()]);
+        eventually("queued_bytes drains to 0", || {
+            link.queued_bytes.load(Ordering::SeqCst) == 0
+        });
+        assert!(link.queue.lock().is_empty());
     }
 
     #[test]

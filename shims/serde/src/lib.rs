@@ -21,6 +21,15 @@
 //! `serde_derive` shim) generate field-in-order impls of these traits, so
 //! every type that derived serde in the original codebase keeps the exact
 //! same byte encoding.
+//!
+//! Sequences go through two hidden, defaulted hooks,
+//! `Serialize::serialize_slice` and `Deserialize::deserialize_vec`, whose
+//! defaults walk the elements one at a time. `u8` overrides both, so a
+//! `Vec<u8>` or `&[u8]` (RMI arguments and outcomes, DCS node payloads,
+//! store values) is copied in one `extend_from_slice` and read back in one
+//! bounds-checked slice copy. This is a fast path only: the bytes are the
+//! same as the element-by-element encoding, so the wire format and its
+//! version are unchanged.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -68,6 +77,20 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Appends this value's encoding to `out`.
     fn serialize(&self, out: &mut Vec<u8>);
+
+    /// Appends the encoding of a whole slice: a `u32` length, then each
+    /// element in order. Implementations may override it with a bulk copy
+    /// (`u8` does) but must produce exactly these bytes.
+    #[doc(hidden)]
+    fn serialize_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        write_len(out, items.len());
+        for item in items {
+            item.serialize(out);
+        }
+    }
 }
 
 /// A type that can decode itself from the workspace wire format.
@@ -82,6 +105,25 @@ pub trait Deserialize<'de>: Sized {
     /// [`Error::UnexpectedEof`] on truncation, [`Error::Invalid`] on
     /// malformed data.
     fn deserialize(input: &mut &'de [u8]) -> Result<Self, Error>;
+
+    /// Decodes `len` consecutive values, the body of a sequence whose
+    /// length prefix was already read. Overrides must accept exactly the
+    /// bytes the element-by-element default accepts.
+    ///
+    /// # Errors
+    ///
+    /// As [`Deserialize::deserialize`].
+    #[doc(hidden)]
+    fn deserialize_vec(len: usize, input: &mut &'de [u8]) -> Result<Vec<Self>, Error> {
+        // Guard against hostile lengths: never reserve more than the input
+        // could possibly hold (each element needs at least one byte, except
+        // zero-sized encodings which push nothing and are capped too).
+        let mut items = Vec::with_capacity(len.min(input.len()).min(4096));
+        for _ in 0..len {
+            items.push(Self::deserialize(input)?);
+        }
+        Ok(items)
+    }
 }
 
 /// Module mirroring `serde::ser` for imports like `serde::ser::Error`.
@@ -143,7 +185,32 @@ macro_rules! impl_fixed {
         }
     )*};
 }
-impl_fixed!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
+impl_fixed!(u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
+
+/// Bytes encode like any other fixed-width integer, but byte sequences take
+/// the bulk path: one length write and one copy each way.
+impl Serialize for u8 {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn serialize_slice(items: &[u8], out: &mut Vec<u8>) {
+        write_len(out, items.len());
+        out.extend_from_slice(items);
+    }
+}
+
+impl<'de> Deserialize<'de> for u8 {
+    fn deserialize(input: &mut &'de [u8]) -> Result<Self, Error> {
+        Ok(take::<1>(input)?[0])
+    }
+
+    fn deserialize_vec(len: usize, input: &mut &'de [u8]) -> Result<Vec<u8>, Error> {
+        // `take_slice` checks `len` against the input before the copy
+        // allocates, so a hostile length fails without reserving anything.
+        Ok(take_slice(input, len)?.to_vec())
+    }
+}
 
 impl Serialize for usize {
     fn serialize(&self, out: &mut Vec<u8>) {
@@ -304,10 +371,7 @@ impl<'de, T: Deserialize<'de>, E: Deserialize<'de>> Deserialize<'de> for Result<
 
 impl<T: Serialize> Serialize for [T] {
     fn serialize(&self, out: &mut Vec<u8>) {
-        write_len(out, self.len());
-        for item in self {
-            item.serialize(out);
-        }
+        T::serialize_slice(self, out);
     }
 }
 
@@ -320,14 +384,7 @@ impl<T: Serialize> Serialize for Vec<T> {
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
     fn deserialize(input: &mut &'de [u8]) -> Result<Self, Error> {
         let len = read_len(input)?;
-        // Guard against hostile lengths: never reserve more than the input
-        // could possibly hold (each element needs at least one byte, except
-        // zero-sized encodings which push nothing and are capped too).
-        let mut items = Vec::with_capacity(len.min(input.len()).min(4096));
-        for _ in 0..len {
-            items.push(T::deserialize(input)?);
-        }
-        Ok(items)
+        T::deserialize_vec(len, input)
     }
 }
 
@@ -488,5 +545,226 @@ mod tests {
             Vec::<u64>::deserialize(&mut input),
             Err(Error::UnexpectedEof)
         );
+    }
+}
+
+/// The byte fast path must not change a single encoded byte. These tests
+/// hold it to a reference encoder that writes every byte sequence one
+/// element at a time, as the codec did before the fast path existed.
+#[cfg(test)]
+mod byte_path_tests {
+    use super::*;
+
+    /// Element-by-element reference encoding, independent of the
+    /// `serialize_slice` hook.
+    trait Reference {
+        fn reference(&self, out: &mut Vec<u8>);
+    }
+
+    impl Reference for u8 {
+        fn reference(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_le_bytes());
+        }
+    }
+
+    impl Reference for u64 {
+        fn reference(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_le_bytes());
+        }
+    }
+
+    impl Reference for String {
+        fn reference(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&(self.len() as u32).to_le_bytes());
+            out.extend_from_slice(self.as_bytes());
+        }
+    }
+
+    impl<T: Reference> Reference for [T] {
+        fn reference(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&(self.len() as u32).to_le_bytes());
+            for item in self {
+                item.reference(out);
+            }
+        }
+    }
+
+    impl<T: Reference> Reference for Vec<T> {
+        fn reference(&self, out: &mut Vec<u8>) {
+            self.as_slice().reference(out);
+        }
+    }
+
+    impl<T: Reference + ?Sized> Reference for &T {
+        fn reference(&self, out: &mut Vec<u8>) {
+            (**self).reference(out);
+        }
+    }
+
+    impl<T: Reference> Reference for Option<T> {
+        fn reference(&self, out: &mut Vec<u8>) {
+            match self {
+                None => out.push(0),
+                Some(v) => {
+                    out.push(1);
+                    v.reference(out);
+                }
+            }
+        }
+    }
+
+    impl<T: Reference, E: Reference> Reference for Result<T, E> {
+        fn reference(&self, out: &mut Vec<u8>) {
+            match self {
+                Ok(v) => {
+                    out.extend_from_slice(&0u32.to_le_bytes());
+                    v.reference(out);
+                }
+                Err(e) => {
+                    out.extend_from_slice(&1u32.to_le_bytes());
+                    e.reference(out);
+                }
+            }
+        }
+    }
+
+    /// A struct holding byte vectors, encoded field by field in order the
+    /// way `#[derive(Serialize)]` encodes it.
+    #[derive(Debug, PartialEq)]
+    struct Node {
+        data: Vec<u8>,
+        parts: Vec<Vec<u8>>,
+        tag: Option<Vec<u8>>,
+        version: u64,
+    }
+
+    impl Serialize for Node {
+        fn serialize(&self, out: &mut Vec<u8>) {
+            self.data.serialize(out);
+            self.parts.serialize(out);
+            self.tag.serialize(out);
+            self.version.serialize(out);
+        }
+    }
+
+    impl<'de> Deserialize<'de> for Node {
+        fn deserialize(input: &mut &'de [u8]) -> Result<Self, Error> {
+            Ok(Node {
+                data: Deserialize::deserialize(input)?,
+                parts: Deserialize::deserialize(input)?,
+                tag: Deserialize::deserialize(input)?,
+                version: Deserialize::deserialize(input)?,
+            })
+        }
+    }
+
+    impl Reference for Node {
+        fn reference(&self, out: &mut Vec<u8>) {
+            self.data.reference(out);
+            self.parts.reference(out);
+            self.tag.reference(out);
+            self.version.reference(out);
+        }
+    }
+
+    fn payloads() -> Vec<Vec<u8>> {
+        vec![
+            Vec::new(),
+            vec![0],
+            vec![0xFF, 0, 7],
+            (0..=255u8).collect(),
+            (0..1024u32).map(|i| (i * 31 % 251) as u8).collect(),
+        ]
+    }
+
+    /// Encodes `value` with the codec and the reference, asserts the bytes
+    /// match, and that the codec decodes the reference bytes back to `value`.
+    fn assert_equivalent<T>(value: &T)
+    where
+        T: Serialize + Reference + for<'de> Deserialize<'de> + PartialEq + fmt::Debug,
+    {
+        let mut fast = Vec::new();
+        value.serialize(&mut fast);
+        let mut reference = Vec::new();
+        value.reference(&mut reference);
+        assert_eq!(fast, reference, "encoding of {value:?} changed");
+        let mut input = reference.as_slice();
+        let back = T::deserialize(&mut input).expect("reference bytes decode");
+        assert!(input.is_empty(), "decoder left {} bytes", input.len());
+        assert_eq!(&back, value);
+    }
+
+    #[test]
+    fn byte_vectors_encode_like_the_element_loop() {
+        for p in payloads() {
+            assert_equivalent(&p);
+            let mut fast = Vec::new();
+            p.as_slice().serialize(&mut fast);
+            let mut reference = Vec::new();
+            p.as_slice().reference(&mut reference);
+            assert_eq!(fast, reference, "&[u8] of {} bytes", p.len());
+        }
+    }
+
+    #[test]
+    fn wrapped_byte_vectors_encode_like_the_element_loop() {
+        assert_equivalent(&Option::<Vec<u8>>::None);
+        assert_equivalent(&payloads());
+        for p in payloads() {
+            assert_equivalent(&Some(p.clone()));
+            assert_equivalent(&Result::<Vec<u8>, String>::Ok(p.clone()));
+            assert_equivalent(&Result::<String, Vec<u8>>::Err(p));
+        }
+        assert_equivalent(&Result::<Vec<u8>, String>::Err("boom".into()));
+    }
+
+    #[test]
+    fn structs_of_byte_vectors_encode_like_the_element_loop() {
+        for p in payloads() {
+            assert_equivalent(&Node {
+                data: p.clone(),
+                parts: vec![p.clone(), Vec::new(), p.clone()],
+                tag: Some(p),
+                version: 0x0102_0304_0506_0708,
+            });
+        }
+        assert_equivalent(&Node {
+            data: Vec::new(),
+            parts: Vec::new(),
+            tag: None,
+            version: 0,
+        });
+    }
+
+    /// A byte that does not override the sequence hooks, so `Vec<Elem>`
+    /// decodes through the element-by-element default.
+    #[derive(Debug, PartialEq)]
+    struct Elem(u8);
+
+    impl<'de> Deserialize<'de> for Elem {
+        fn deserialize(input: &mut &'de [u8]) -> Result<Self, Error> {
+            u8::deserialize(input).map(Elem)
+        }
+    }
+
+    #[test]
+    fn bulk_decode_agrees_with_the_element_decoder_on_every_prefix() {
+        let mut bytes = Vec::new();
+        vec![9u8, 8, 7, 6].serialize(&mut bytes);
+        let complete = bytes.len();
+        7u8.serialize(&mut bytes); // trailing data the decoder must leave
+        for end in 0..=bytes.len() {
+            let mut fast_in = &bytes[..end];
+            let mut slow_in = &bytes[..end];
+            let fast = Vec::<u8>::deserialize(&mut fast_in);
+            let slow = Vec::<Elem>::deserialize(&mut slow_in)
+                .map(|v| v.into_iter().map(|Elem(b)| b).collect::<Vec<u8>>());
+            assert_eq!(fast, slow, "prefix of {end} bytes");
+            if end < complete {
+                assert_eq!(fast, Err(Error::UnexpectedEof), "prefix of {end} bytes");
+            } else {
+                assert_eq!(fast_in, slow_in, "both leave the same remainder");
+            }
+        }
     }
 }
