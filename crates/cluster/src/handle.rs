@@ -6,7 +6,8 @@ use erm_sim::SimTime;
 use parking_lot::Mutex;
 
 use crate::manager::{
-    AdminAlert, ClusterError, NodeId, RequestOutcome, ResourceManager, SliceGrant, SliceId,
+    AdminAlert, ClusterError, NodeId, RequestOutcome, ResourceManager, Revocation, SliceGrant,
+    SliceId,
 };
 
 /// A cloneable handle to a shared [`ResourceManager`].
@@ -67,6 +68,16 @@ impl ClusterHandle {
         self.inner.lock().poll_ready(now)
     }
 
+    /// See [`ResourceManager::poll_ready_for`].
+    pub fn poll_ready_for(&self, now: SimTime, claims: impl FnMut(u64) -> bool) -> Vec<SliceGrant> {
+        self.inner.lock().poll_ready_for(now, claims)
+    }
+
+    /// See [`ResourceManager::cancel_request`].
+    pub fn cancel_request(&self, request_id: u64, now: SimTime) -> u32 {
+        self.inner.lock().cancel_request(request_id, now)
+    }
+
     /// See [`ResourceManager::release`].
     pub fn release(&self, slice: SliceId, now: SimTime) -> Result<(), ClusterError> {
         self.inner.lock().release(slice, now)
@@ -75,6 +86,14 @@ impl ClusterHandle {
     /// See [`ResourceManager::drain_revocations`].
     pub fn drain_revocations(&self) -> Vec<SliceId> {
         self.inner.lock().drain_revocations()
+    }
+
+    /// See [`ResourceManager::drain_revocations_for`].
+    pub fn drain_revocations_for(
+        &self,
+        claims: impl FnMut(&Revocation) -> bool,
+    ) -> Vec<Revocation> {
+        self.inner.lock().drain_revocations_for(claims)
     }
 
     /// See [`ResourceManager::total_slices`].

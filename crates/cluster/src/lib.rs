@@ -39,6 +39,6 @@ mod manager;
 pub use handle::ClusterHandle;
 pub use latency::LatencyModel;
 pub use manager::{
-    AdminAlert, ClusterConfig, ClusterError, NodeId, RequestOutcome, ResourceManager, SliceGrant,
-    SliceId,
+    AdminAlert, ClusterConfig, ClusterError, NodeId, RequestOutcome, ResourceManager, Revocation,
+    SliceGrant, SliceId,
 };

@@ -1,6 +1,6 @@
 //! The resource manager: slices, grants, provisioning, failures, alerts.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 use erm_metrics::{Histogram, MetricsHandle, TraceEvent, TraceHandle};
@@ -46,6 +46,18 @@ pub struct SliceGrant {
     pub request_id: u64,
     /// When the slice became usable.
     pub ready_at: SimTime,
+}
+
+/// A slice the cluster took back because its node failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Revocation {
+    /// The revoked slice.
+    pub slice: SliceId,
+    /// The request whose grant the slice carried.
+    pub request_id: u64,
+    /// Whether the grant was still provisioning: never collected by
+    /// [`ResourceManager::poll_ready`], so no object ever ran on it.
+    pub provisioning: bool,
 }
 
 /// Result of a slice request. Mirrors the paper's instantiation rule: "if
@@ -147,11 +159,12 @@ pub struct ResourceManager {
     config: ClusterConfig,
     free: Vec<SliceId>,
     provisioning: EventQueue<PendingGrant>,
-    // Ordered so failure paths (fail_node's revocation sweep) visit slices
-    // in slice-id order: crash recovery must be deterministic per seed.
-    in_use: BTreeSet<SliceId>,
+    // Granted slices and the request each one satisfied. Ordered so failure
+    // paths (fail_node's revocation sweep) visit slices in slice-id order:
+    // crash recovery must be deterministic per seed.
+    in_use: BTreeMap<SliceId, u64>,
     failed_nodes: HashSet<NodeId>,
-    revoked: Vec<SliceId>,
+    revoked: Vec<Revocation>,
     pending_count: usize,
     master_down_until: Option<SimTime>,
     deferred_releases: Vec<SliceId>,
@@ -190,7 +203,7 @@ impl ResourceManager {
             config,
             free,
             provisioning: EventQueue::new(),
-            in_use: BTreeSet::new(),
+            in_use: BTreeMap::new(),
             failed_nodes: HashSet::new(),
             revoked: Vec::new(),
             pending_count: 0,
@@ -330,10 +343,27 @@ impl ResourceManager {
 
     /// Collects every grant whose provisioning finished by `now`.
     pub fn poll_ready(&mut self, now: SimTime) -> Vec<SliceGrant> {
+        self.poll_ready_for(now, |_| true)
+    }
+
+    /// Collects the grants whose provisioning finished by `now` and whose
+    /// request id `claims` accepts. Other due grants stay queued for the
+    /// caller that asked for them: pools sharing one cluster each collect
+    /// only their own.
+    pub fn poll_ready_for(
+        &mut self,
+        now: SimTime,
+        mut claims: impl FnMut(u64) -> bool,
+    ) -> Vec<SliceGrant> {
         let mut ready = Vec::new();
+        let mut unclaimed = Vec::new();
         while let Some((ready_at, pending)) = self.provisioning.pop_one_due(now) {
+            if !claims(pending.request_id) {
+                unclaimed.push((ready_at, pending));
+                continue;
+            }
             self.pending_count -= 1;
-            self.in_use.insert(pending.slice);
+            self.in_use.insert(pending.slice, pending.request_id);
             self.provision_latency
                 .record(ready_at.saturating_since(pending.requested_at));
             ready.push(SliceGrant {
@@ -345,7 +375,33 @@ impl ResourceManager {
                 ready_at,
             });
         }
+        for (ready_at, pending) in unclaimed {
+            self.provisioning.schedule(ready_at, pending);
+        }
         ready
+    }
+
+    /// Withdraws request `request_id`: its grants still provisioning, or
+    /// ready but not yet collected, go back to the free inventory, and the
+    /// revocations of its provisioning grants are dropped. Returns how many
+    /// slices came back. A pool that shuts down with grants outstanding
+    /// withdraws them, so slices it will never collect do not leak.
+    pub fn cancel_request(&mut self, request_id: u64, now: SimTime) -> u32 {
+        self.accrue_occupancy(now);
+        let mut returned = 0;
+        for (due, grant) in self.provisioning.drain_all() {
+            if grant.request_id == request_id {
+                self.pending_count -= 1;
+                self.free.push(grant.slice);
+                returned += 1;
+            } else {
+                self.provisioning.schedule(due, grant);
+            }
+        }
+        self.revoked
+            .retain(|r| !(r.provisioning && r.request_id == request_id));
+        self.refresh_alerts(now);
+        returned
     }
 
     /// Returns a slice to the free pool ("this slice is then available to
@@ -358,7 +414,7 @@ impl ResourceManager {
     /// Returns [`ClusterError::UnknownSlice`] if the slice is not currently
     /// granted.
     pub fn release(&mut self, slice: SliceId, now: SimTime) -> Result<(), ClusterError> {
-        if !self.in_use.contains(&slice) {
+        if !self.in_use.contains_key(&slice) {
             return Err(ClusterError::UnknownSlice(slice));
         }
         if self.check_master(now).is_err() {
@@ -381,17 +437,26 @@ impl ResourceManager {
     /// granted until [`ResourceManager::repair_node`].
     pub fn fail_node(&mut self, node: NodeId) {
         self.failed_nodes.insert(node);
-        // Revoke in-use slices on the node.
-        let lost: Vec<SliceId> = self
+        // Revoke in-use slices on the node. One whose release is deferred
+        // behind a master outage has no holder left to tell.
+        let lost: Vec<(SliceId, u64)> = self
             .in_use
             .iter()
-            .copied()
-            .filter(|&s| self.node_of(s) == node)
+            .map(|(&s, &r)| (s, r))
+            .filter(|&(s, _)| self.node_of(s) == node)
             .collect();
-        for slice in lost {
+        for (slice, request_id) in lost {
             self.in_use.remove(&slice);
             self.free.push(slice); // back in inventory, ungrantable until repair
-            self.revoked.push(slice);
+            if let Some(i) = self.deferred_releases.iter().position(|&d| d == slice) {
+                self.deferred_releases.swap_remove(i);
+                continue;
+            }
+            self.revoked.push(Revocation {
+                slice,
+                request_id,
+                provisioning: false,
+            });
         }
         // Revoke slices still provisioning on the node.
         let pending = self.provisioning.drain_all();
@@ -399,7 +464,11 @@ impl ResourceManager {
             if self.node_of(grant.slice) == node {
                 self.pending_count -= 1;
                 self.free.push(grant.slice);
-                self.revoked.push(grant.slice);
+                self.revoked.push(Revocation {
+                    slice: grant.slice,
+                    request_id: grant.request_id,
+                    provisioning: true,
+                });
             } else {
                 self.provisioning.schedule(due, grant);
             }
@@ -411,10 +480,28 @@ impl ResourceManager {
         self.failed_nodes.remove(&node);
     }
 
-    /// Takes the slices revoked by node failures since the last call. The
-    /// middleware uses this to treat affected members as crashed.
+    /// Takes every slice revoked by node failures since the last call, for
+    /// a caller that owns all grants of this cluster.
     pub fn drain_revocations(&mut self) -> Vec<SliceId> {
-        std::mem::take(&mut self.revoked)
+        self.drain_revocations_for(|_| true)
+            .into_iter()
+            .map(|r| r.slice)
+            .collect()
+    }
+
+    /// Takes the revocations `claims` accepts; the rest stay queued for
+    /// their owners. The middleware claims the slices of its own members
+    /// (and treats those members as crashed) and the provisioning grants of
+    /// its own requests.
+    pub fn drain_revocations_for(
+        &mut self,
+        mut claims: impl FnMut(&Revocation) -> bool,
+    ) -> Vec<Revocation> {
+        let (mine, rest) = std::mem::take(&mut self.revoked)
+            .into_iter()
+            .partition(|r| claims(r));
+        self.revoked = rest;
+        mine
     }
 
     /// Simulates a Mesos master outage lasting until `until`. During the
@@ -739,5 +826,69 @@ mod tests {
         c.request_slices(4, SimTime::ZERO).unwrap();
         assert_eq!(c.utilization(), 0.5);
         assert_eq!(c.slices_in_use(), 0, "not ready yet, but reserved");
+    }
+
+    #[test]
+    fn poll_ready_for_leaves_other_requests_queued() {
+        let mut c = instant_cluster();
+        let a = c.request_slices(2, SimTime::ZERO).unwrap().request_id;
+        let b = c.request_slices(3, SimTime::ZERO).unwrap().request_id;
+        let mine = c.poll_ready_for(SimTime::ZERO, |r| r == a);
+        assert_eq!(mine.len(), 2);
+        assert!(mine.iter().all(|g| g.request_id == a));
+        assert_eq!(c.pending_slices(), 3, "b's due grants stay queued");
+        let theirs = c.poll_ready_for(SimTime::from_secs(1), |r| r == b);
+        assert_eq!(theirs.len(), 3);
+        assert!(theirs.iter().all(|g| g.request_id == b));
+        assert_eq!(c.slices_in_use(), 5);
+    }
+
+    #[test]
+    fn revocations_stay_queued_until_their_owner_claims_them() {
+        let mut c = small_cluster(LatencyModel::Fixed(SimDuration::from_secs(60)));
+        let a = c.request_slices(2, SimTime::ZERO).unwrap().request_id; // node 0
+        let b = c.request_slices(2, SimTime::ZERO).unwrap().request_id; // node 1
+        let used = c.poll_ready_for(SimTime::from_secs(60), |r| r == a);
+        c.fail_node(NodeId(0));
+        c.fail_node(NodeId(1));
+        let of_a = c.drain_revocations_for(|r| used.iter().any(|g| g.slice == r.slice));
+        assert_eq!(of_a.len(), 2);
+        assert!(of_a.iter().all(|r| r.request_id == a && !r.provisioning));
+        let of_b = c.drain_revocations_for(|r| r.provisioning && r.request_id == b);
+        assert_eq!(of_b.len(), 2, "b's provisioning grants were revoked");
+        assert!(c.drain_revocations().is_empty());
+    }
+
+    #[test]
+    fn cancel_request_returns_every_uncollected_grant() {
+        let mut c = small_cluster(LatencyModel::Fixed(SimDuration::from_secs(60)));
+        let keep = c.request_slices(2, SimTime::ZERO).unwrap().request_id;
+        let gone = c.request_slices(4, SimTime::ZERO).unwrap().request_id;
+        c.fail_node(NodeId(2)); // revokes two of `gone`'s provisioning grants
+        assert_eq!(c.cancel_request(gone, SimTime::from_secs(1)), 2);
+        assert_eq!(c.pending_slices(), 2);
+        assert_eq!(c.free_slices(), 6);
+        assert!(c.drain_revocations().is_empty(), "its revocations went too");
+        let ready = c.poll_ready(SimTime::from_secs(60));
+        assert!(ready.iter().all(|g| g.request_id == keep));
+        assert_eq!(ready.len(), 2);
+    }
+
+    #[test]
+    fn failed_node_does_not_report_a_slice_already_released() {
+        let mut c = instant_cluster();
+        c.request_slices(2, SimTime::ZERO).unwrap();
+        let grants = c.poll_ready(SimTime::ZERO);
+        c.fail_master_until(SimTime::from_secs(100));
+        c.release(grants[0].slice, SimTime::from_secs(10)).unwrap();
+        c.fail_node(NodeId(0));
+        let revoked = c.drain_revocations();
+        assert_eq!(
+            revoked,
+            vec![grants[1].slice],
+            "the released slice has no holder"
+        );
+        c.request_slices(0, SimTime::from_secs(200)).unwrap();
+        assert_eq!(c.free_slices(), 8, "each slice back in the inventory once");
     }
 }

@@ -19,15 +19,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use erm_cluster::{ClusterHandle, SliceGrant, SliceId};
+use erm_cluster::{ClusterHandle, Revocation, SliceGrant, SliceId};
 use erm_kvstore::{LockOwner, Store};
 use erm_metrics::{Histogram, MetricsHandle, TraceEvent, TraceHandle};
 use erm_sim::{SharedClock, SimDuration, SimTime};
 use erm_transport::{EndpointId, Host, Mailbox, Network};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::api::{ElasticService, ServiceContext};
 use crate::balance::{plan_redirects, planned_total, MemberLoad};
@@ -111,6 +111,25 @@ struct PoolShared {
     size: Arc<AtomicU32>,
     stats: Mutex<PoolStats>,
     last_reports: Mutex<Vec<LoadReport>>,
+    /// In-rotation size of the view most recently broadcast to members.
+    /// `broadcast` signals `view_sent` after setting it, and
+    /// `instantiate` waits on that signal.
+    broadcast_size: Mutex<u32>,
+    view_sent: Condvar,
+}
+
+impl PoolShared {
+    fn new() -> Self {
+        PoolShared {
+            sentinel: RwLock::new(EndpointId(u64::MAX)),
+            members: RwLock::new(Vec::new()),
+            size: Arc::new(AtomicU32::new(0)),
+            stats: Mutex::new(PoolStats::default()),
+            last_reports: Mutex::new(Vec::new()),
+            broadcast_size: Mutex::new(0),
+            view_sent: Condvar::new(),
+        }
+    }
 }
 
 enum Command {
@@ -177,13 +196,7 @@ impl ElasticPool {
             return Err(PoolError::NoCapacity);
         }
 
-        let shared = Arc::new(PoolShared {
-            sentinel: RwLock::new(EndpointId(u64::MAX)),
-            members: RwLock::new(Vec::new()),
-            size: Arc::new(AtomicU32::new(0)),
-            stats: Mutex::new(PoolStats::default()),
-            last_reports: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(PoolShared::new());
         let (cmd_tx, cmd_rx) = unbounded();
         let (ctl, ctl_mailbox) = deps.net.open();
         let semantics = config.semantics().clone();
@@ -232,20 +245,24 @@ impl ElasticPool {
             cmd_tx,
             runtime: Some(handle),
         };
-        // Wait for the initial members to come up, bounded on the injected
-        // clock: 30 s of *sim* time. Under the system clock that is 30 real
-        // seconds; under a virtual clock, provisioning failure surfaces
-        // only when the driving harness advances time past the bound —
-        // never because wall time leaked into protocol logic.
-        let deadline = pool.clock.now() + SimDuration::from_secs(30);
-        while pool.size() == 0 {
+        // Wait until the runtime has published and broadcast a view with
+        // members in it, bounded on the injected clock: 30 s of *sim* time.
+        // Under the system clock that is 30 real seconds; under a virtual
+        // clock, provisioning failure surfaces only when the driving
+        // harness advances time past the bound — never because wall time
+        // leaked into protocol logic. The broadcast wakes this wait; the
+        // `TICK` bound only re-reads a clock that moved with no view change.
+        let deadline = now + SimDuration::from_secs(30);
+        let mut sent = pool.shared.broadcast_size.lock();
+        while *sent == 0 {
             if pool.clock.now() > deadline {
                 return Err(PoolError::Cluster(
                     "initial members failed to provision in time".to_string(),
                 ));
             }
-            std::thread::sleep(Duration::from_millis(2));
+            pool.shared.view_sent.wait_for(&mut sent, TICK);
         }
+        drop(sent);
         Ok(pool)
     }
 
@@ -323,6 +340,8 @@ impl Drop for ElasticPool {
 struct Member {
     endpoint: EndpointId,
     slice: SliceId,
+    /// The request whose grant brought the slice.
+    request_id: u64,
     join: JoinHandle<()>,
     draining: bool,
     requested_at: Option<SimTime>,
@@ -341,6 +360,12 @@ impl Member {
     /// the warm-standby tier.
     fn in_rotation(&self) -> bool {
         !self.draining && !self.standby
+    }
+
+    /// Whether `r` revokes this member's slice, not that of an earlier or
+    /// later holder of the same slice.
+    fn revoked_by(&self, r: &Revocation) -> bool {
+        !r.provisioning && self.slice == r.slice && self.request_id == r.request_id
     }
 }
 
@@ -444,68 +469,117 @@ impl Runtime {
             self.deps.clock.now(),
         ));
         loop {
-            // 1. Commands from the handle.
             if let Ok(Command::Shutdown) = self.cmd_rx.try_recv() {
                 self.shutdown_all(&ctl_mailbox);
                 return;
             }
-            // 2. Control messages from members.
-            while let Ok(d) = ctl_mailbox.try_recv() {
-                if let Ok(msg) = RmiMessage::decode(&d.payload) {
-                    self.on_ctl(msg);
-                }
-            }
-            // 3. Newly provisioned slices become members.
-            let grants = self.deps.cluster.poll_ready(self.deps.clock.now());
-            let grew = !grants.is_empty();
-            for grant in grants {
-                self.spawn_member(grant);
-            }
-            // 4. Crash detection + sentinel re-election. Slice revocations
-            // (node failures) kill their members too.
-            let revoked = self.deps.cluster.drain_revocations();
-            if !revoked.is_empty() {
-                let at = self.deps.clock.now();
-                self.revoked_slices.extend(revoked.iter().copied());
-                let victims: Vec<u64> = self
-                    .members
-                    .iter()
-                    .filter(|(_, m)| revoked.contains(&m.slice))
-                    .map(|(&uid, _)| uid)
-                    .collect();
-                for uid in victims {
-                    if let Some(m) = self.members.get_mut(&uid) {
-                        // Take the endpoint down; the skeleton thread exits
-                        // on its closed mailbox and reaping does the rest.
-                        m.crashed_at = Some(at);
-                        self.deps.net.close(m.endpoint);
-                    }
-                }
-            }
-            let crashed = self.reap_crashed();
-            if grew || crashed {
-                self.publish();
-                self.broadcast();
-            }
-            // 5. Periodic broadcast (the JGroups substitute).
-            let now = self.deps.clock.now();
-            let live = self
-                .members
-                .values()
-                .filter(|m| m.in_rotation() && m.crashed_at.is_none())
-                .count() as u32;
-            self.recovery.check_capacity(live, now);
-            if now.saturating_since(self.last_broadcast) >= BROADCAST_EVERY {
-                self.broadcast();
-            }
-            // 6. Keep the warm tier topped up (initial fill, and refills
-            // after a standby crash or promotion).
-            self.replenish_standbys(now, false);
-            // 7. Burst-interval scaling.
-            self.scaling_step(now);
-
-            std::thread::sleep(TICK);
+            self.control_pass();
+            self.wait_tick(&ctl_mailbox);
         }
+    }
+
+    /// One pass of the control loop. Every membership change the pass
+    /// makes (grants spawned, crashed members reaped) lands in a single
+    /// published and broadcast view: one epoch bump, at most one shard
+    /// handoff.
+    fn control_pass(&mut self) {
+        let now = self.deps.clock.now();
+        // 1. Newly provisioned slices become members; slice revocations
+        // (node failures) kill theirs. Then crash detection + sentinel
+        // re-election.
+        let grew = self.cluster_intake(now);
+        let crashed = self.reap_crashed();
+        if grew || crashed {
+            self.publish();
+            self.broadcast();
+        }
+        // 2. Periodic broadcast (the JGroups substitute).
+        let live = self
+            .members
+            .values()
+            .filter(|m| m.in_rotation() && m.crashed_at.is_none())
+            .count() as u32;
+        self.recovery.check_capacity(live, now);
+        if now.saturating_since(self.last_broadcast) >= BROADCAST_EVERY {
+            self.broadcast();
+        }
+        // 3. Keep the warm tier topped up (initial fill, and refills after
+        // a standby crash or promotion).
+        self.replenish_standbys(now, false);
+        // 4. Burst-interval scaling.
+        self.scaling_step(now);
+    }
+
+    /// Waits out the rest of the tick on the control mailbox, handling
+    /// each control message (load reports, drain acks) as it arrives.
+    fn wait_tick(&mut self, ctl_mailbox: &Mailbox) {
+        let until = Instant::now() + TICK;
+        let left = || until.saturating_duration_since(Instant::now());
+        while let Ok(d) = ctl_mailbox.recv_timeout(left()) {
+            if let Ok(msg) = RmiMessage::decode(&d.payload) {
+                self.on_ctl(msg);
+            }
+        }
+    }
+
+    /// Takes this pool's share of the cluster's events: ready grants of its
+    /// own requests become members, and revocations of its own members'
+    /// slices and provisioning grants are applied. Grants and revocations
+    /// of other pools sharing the cluster stay queued for them. Returns
+    /// whether any member joined.
+    fn cluster_intake(&mut self, now: SimTime) -> bool {
+        let grants = self
+            .deps
+            .cluster
+            .poll_ready_for(now, |id| self.grant_times.contains_key(&id));
+        let grew = !grants.is_empty();
+        for grant in grants {
+            self.spawn_member(grant);
+        }
+        self.take_revocations(now);
+        grew
+    }
+
+    /// Whether `r` revokes one of this pool's members or one of its grants
+    /// still provisioning.
+    fn owns(&self, r: &Revocation) -> bool {
+        if r.provisioning {
+            self.grant_times.contains_key(&r.request_id)
+        } else {
+            self.members.values().any(|m| m.revoked_by(r))
+        }
+    }
+
+    /// Claims this pool's revocations. A revoked member is taken down (its
+    /// skeleton thread exits on the closed mailbox and reaping does the
+    /// rest); a revoked provisioning grant will never arrive.
+    fn take_revocations(&mut self, now: SimTime) {
+        let revoked = self.deps.cluster.drain_revocations_for(|r| self.owns(r));
+        for r in revoked {
+            if r.provisioning {
+                self.settle_grant(r.request_id);
+                continue;
+            }
+            self.revoked_slices.insert(r.slice);
+            if let Some(m) = self.members.values_mut().find(|m| m.revoked_by(&r)) {
+                m.crashed_at = Some(now);
+                self.deps.net.close(m.endpoint);
+            }
+        }
+    }
+
+    /// Counts one grant of `request_id` as settled (spawned, or revoked
+    /// while provisioning) and returns the request's `(requested_at,
+    /// standby)`. The entry is pruned on the final grant so reused request
+    /// ids never read a stale `requested_at`.
+    fn settle_grant(&mut self, request_id: u64) -> Option<(SimTime, bool)> {
+        let pending = self.grant_times.get_mut(&request_id)?;
+        let settled = (pending.requested_at, pending.standby);
+        pending.outstanding = pending.outstanding.saturating_sub(1);
+        if pending.outstanding == 0 {
+            self.grant_times.remove(&request_id);
+        }
+        Some(settled)
     }
 
     fn on_ctl(&mut self, msg: RmiMessage) {
@@ -575,19 +649,8 @@ impl Runtime {
             .name(format!("erm-member-{uid}"))
             .spawn(move || skeleton.run(mailbox))
             .expect("spawn member thread");
-        // Consume one grant from the originating request; prune the entry on
-        // the final grant so reused request ids never read a stale
-        // `requested_at`.
-        let (requested_at, standby) = match self.grant_times.get_mut(&grant.request_id) {
-            Some(pending) => {
-                let at = pending.requested_at;
-                let standby = pending.standby;
-                pending.outstanding = pending.outstanding.saturating_sub(1);
-                if pending.outstanding == 0 {
-                    self.grant_times.remove(&grant.request_id);
-                }
-                (Some(at), standby)
-            }
+        let (requested_at, standby) = match self.settle_grant(grant.request_id) {
+            Some((at, standby)) => (Some(at), standby),
             None => (None, false),
         };
         self.members.insert(
@@ -595,6 +658,7 @@ impl Runtime {
             Member {
                 endpoint,
                 slice: grant.slice,
+                request_id: grant.request_id,
                 join,
                 draining: false,
                 requested_at,
@@ -609,7 +673,6 @@ impl Runtime {
             TraceEvent::MemberJoined { uid }
         };
         self.deps.trace.emit(self.deps.clock.now(), event);
-        self.publish();
     }
 
     /// Removes a member from all books; `crashed` distinguishes failure from
@@ -827,6 +890,7 @@ impl Runtime {
         self.scale_store();
     }
 
+    /// Sends the current view to every member, then signals `view_sent`.
     fn broadcast(&mut self) {
         self.last_broadcast = self.deps.clock.now();
         let sentinel_uid = self.sentinel_uid().unwrap_or(0);
@@ -844,6 +908,7 @@ impl Runtime {
                 pending: self.reports.get(&uid).map_or(0, |r| r.pending),
             })
             .collect();
+        let size = states.len() as u32;
         let msg = RmiMessage::StateBroadcast {
             epoch: self.epoch,
             sentinel_uid,
@@ -856,6 +921,8 @@ impl Runtime {
                 .net
                 .send(self.ctl, member.endpoint, encoded.clone());
         }
+        *self.shared.broadcast_size.lock() = size;
+        self.shared.view_sent.notify_all();
     }
 
     fn scaling_step(&mut self, now: SimTime) {
@@ -1165,6 +1232,13 @@ impl Runtime {
     }
 
     fn shutdown_all(&mut self, ctl_mailbox: &Mailbox) {
+        // Revoked members must not release their slices, and grants still
+        // outstanding are withdrawn so no slice outlives the pool.
+        let now = self.deps.clock.now();
+        self.take_revocations(now);
+        for request_id in std::mem::take(&mut self.grant_times).into_keys() {
+            self.deps.cluster.cancel_request(request_id, now);
+        }
         for m in self.members.values_mut() {
             m.draining = true;
             let _ = self
@@ -1179,7 +1253,7 @@ impl Runtime {
         // flake because a paused clock made wall time race the drain.
         let deadline = self.deps.clock.now() + SimDuration::from_secs(5);
         while !self.members.is_empty() && self.deps.clock.now() < deadline {
-            while let Ok(d) = ctl_mailbox.try_recv() {
+            if let Ok(d) = ctl_mailbox.recv_timeout(TICK) {
                 if let Ok(RmiMessage::ShutdownReady { uid }) = RmiMessage::decode(&d.payload) {
                     self.finalize_member(uid, false);
                 }
@@ -1194,7 +1268,6 @@ impl Runtime {
             for uid in finished {
                 self.finalize_member(uid, false);
             }
-            std::thread::sleep(TICK);
         }
         // Force-release anything left.
         let leftovers: Vec<u64> = self.members.keys().copied().collect();
@@ -1257,13 +1330,7 @@ mod tests {
             deps: deps.clone(),
             factory: Arc::new(|| Box::new(Idle)),
             decider: None,
-            shared: Arc::new(PoolShared {
-                sentinel: RwLock::new(EndpointId(u64::MAX)),
-                members: RwLock::new(Vec::new()),
-                size: Arc::new(AtomicU32::new(0)),
-                stats: Mutex::new(PoolStats::default()),
-                last_reports: Mutex::new(Vec::new()),
-            }),
+            shared: Arc::new(PoolShared::new()),
             ctl: deps.net.open().0,
             cmd_rx: unbounded().1,
             members: BTreeMap::new(),
@@ -1290,6 +1357,7 @@ mod tests {
         Member {
             endpoint,
             slice,
+            request_id: 0,
             join,
             draining: false,
             requested_at: None,
@@ -1576,6 +1644,91 @@ mod tests {
         }
     }
 
+    /// Finalizes every member, leaving their skeleton threads to exit on
+    /// their closed endpoints.
+    fn finalize_all(rt: &mut Runtime) {
+        let uids: Vec<u64> = rt.members.keys().copied().collect();
+        for uid in uids {
+            rt.finalize_member(uid, true);
+        }
+    }
+
+    #[test]
+    fn pools_sharing_a_cluster_take_only_their_own_grants_and_revocations() {
+        // Regression: the first pool to poll took every ready grant and
+        // every revocation, so it spawned another pool's initial members
+        // with its own service factory (that pool's `instantiate` then timed
+        // out) and swallowed that pool's crashes.
+        let cluster = cluster(4);
+        let clock = VirtualClock::new();
+        let mut a = runtime(cluster.clone(), clock.clone(), MetricsHandle::disabled());
+        let mut b = runtime(cluster.clone(), clock.clone(), MetricsHandle::disabled());
+        let t0 = clock.now();
+        assert_eq!(a.request_members(2, false, t0), 2);
+        assert_eq!(b.request_members(2, false, t0), 2);
+        let a_request = *a.grant_times.keys().next().unwrap();
+        let b_request = *b.grant_times.keys().next().unwrap();
+
+        assert!(a.cluster_intake(t0), "a polls first");
+        assert_eq!(a.members.len(), 2, "a spawns only its own grants");
+        assert!(a.members.values().all(|m| m.request_id == a_request));
+        assert!(b.cluster_intake(t0));
+        assert_eq!(b.members.len(), 2, "b's grants waited for b");
+        assert!(b.members.values().all(|m| m.request_id == b_request));
+        assert!(a.grant_times.is_empty() && b.grant_times.is_empty());
+
+        // A node under one of b's members fails, and a polls first again.
+        let victim = b.members.values().next().unwrap().slice;
+        cluster.fail_node(cluster.with(|m| m.node_of(victim)));
+        assert!(!a.cluster_intake(t0));
+        assert!(
+            a.revoked_slices.is_empty(),
+            "a leaves b's revocation queued"
+        );
+        assert!(a.members.values().all(|m| m.crashed_at.is_none()));
+        b.cluster_intake(t0);
+        assert!(
+            b.revoked_slices.contains(&victim),
+            "the revocation reaches b"
+        );
+        let crashed: Vec<SliceId> = b
+            .members
+            .values()
+            .filter(|m| m.crashed_at == Some(t0))
+            .map(|m| m.slice)
+            .collect();
+        assert_eq!(crashed, vec![victim]);
+        finalize_all(&mut a);
+        finalize_all(&mut b);
+    }
+
+    #[test]
+    fn a_grant_revoked_while_provisioning_settles_its_request() {
+        let cluster = ClusterHandle::new(ResourceManager::new(ClusterConfig {
+            nodes: 2,
+            slices_per_node: 1,
+            provisioning: LatencyModel::Fixed(SimDuration::from_secs(10)),
+            ..ClusterConfig::default()
+        }));
+        let clock = VirtualClock::new();
+        let mut rt = runtime(cluster.clone(), clock.clone(), MetricsHandle::disabled());
+        assert_eq!(rt.request_members(2, false, clock.now()), 2);
+        cluster.fail_node(NodeId(1));
+        assert!(!rt.cluster_intake(clock.now()));
+        assert_eq!(
+            rt.slice_footprint(),
+            1,
+            "the revoked grant is no longer due"
+        );
+        clock.advance(SimDuration::from_secs(10));
+        assert!(rt.cluster_intake(clock.now()));
+        assert!(
+            rt.grant_times.is_empty(),
+            "the surviving grant completes it"
+        );
+        finalize_all(&mut rt);
+    }
+
     #[test]
     fn standbys_join_outside_the_rotation_and_promote_on_grow() {
         let cluster = cluster(4);
@@ -1593,6 +1746,7 @@ mod tests {
         for g in cluster.poll_ready(t0) {
             rt.spawn_member(g);
         }
+        rt.publish();
         assert_eq!(rt.members.len(), 2);
         assert_eq!(
             rt.members.values().filter(|m| m.standby).count(),
@@ -1739,6 +1893,7 @@ mod tests {
             Member {
                 endpoint: survivor_ep,
                 slice: s1,
+                request_id: 0,
                 join: std::thread::spawn(|| std::thread::sleep(Duration::from_secs(2))),
                 draining: false,
                 requested_at: None,

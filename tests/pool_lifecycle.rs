@@ -15,7 +15,7 @@ use elasticrmi::{
 use erm_cluster::{ClusterConfig, ClusterHandle, LatencyModel, ResourceManager};
 use erm_kvstore::{Store, StoreConfig};
 use erm_metrics::{MetricsHandle, TraceHandle};
-use erm_sim::{SimDuration, SystemClock};
+use erm_sim::{SimDuration, SystemClock, VirtualClock};
 use erm_transport::InProcNetwork;
 
 /// A service whose fine-grained vote is dictated by the test through a
@@ -70,6 +70,69 @@ fn pool_starts_at_min_size() {
     assert_eq!(pool.size(), 3);
     assert_eq!(pool.members().len(), 3);
     pool.shutdown();
+}
+
+#[test]
+fn instantiate_returns_once_the_first_view_is_broadcast() {
+    // On an instant cluster the first control pass spawns every initial
+    // member and publishes one view; `instantiate` returns after that view
+    // was broadcast, so a stub's first discovery already lists them all.
+    let (mut pool, _vote) = puppet_pool(4, 8);
+    assert_eq!(pool.size(), 4);
+    assert_eq!(pool.members().len(), 4);
+    assert_eq!(pool.stats().epoch, 1, "one view for the whole bring-up");
+    let stub = pool.stub(ClientLb::RoundRobin).unwrap();
+    let mut known = stub.members().to_vec();
+    let mut members = pool.members();
+    known.sort();
+    members.sort();
+    assert_eq!(known, members);
+    pool.shutdown();
+}
+
+#[test]
+fn instantiate_gives_up_after_30_s_on_the_injected_clock() {
+    // Provisioning takes an hour of sim time, so no grant is ever ready.
+    // Once the request is made, the test moves the virtual clock past the
+    // 30 s bound; no wall time is spent waiting for it.
+    let clock = VirtualClock::new();
+    let cluster = ClusterHandle::new(ResourceManager::new(ClusterConfig {
+        nodes: 4,
+        slices_per_node: 1,
+        provisioning: LatencyModel::Fixed(SimDuration::from_secs(3600)),
+        ..ClusterConfig::default()
+    }));
+    let deps = elasticrmi::PoolDeps {
+        cluster: cluster.clone(),
+        clock: Arc::new(clock.clone()),
+        ..fast_deps()
+    };
+    let config = PoolConfig::builder("Puppet").build().unwrap();
+    let bring_up = std::thread::spawn(move || {
+        let vote = Arc::new(AtomicI32::new(0));
+        let factory = Arc::new(move || {
+            Box::new(Puppet {
+                vote: Arc::clone(&vote),
+            }) as Box<dyn ElasticService>
+        });
+        ElasticPool::instantiate(config, factory, deps, None).map(|_| ())
+    });
+    while cluster.pending_slices() < 2 {
+        std::thread::yield_now();
+    }
+    clock.advance(SimDuration::from_secs(31));
+    assert_eq!(
+        bring_up.join().unwrap(),
+        Err(PoolError::Cluster(
+            "initial members failed to provision in time".to_string()
+        ))
+    );
+    assert_eq!(
+        cluster.pending_slices(),
+        0,
+        "the failed pool withdrew its request"
+    );
+    assert_eq!(cluster.free_slices(), 4);
 }
 
 #[test]
